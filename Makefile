@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline clean
+.PHONY: all build vet staticcheck lint test test-race test-short crash tamper failover scrub fuzz scrub-baseline bench experiments examples telemetry-smoke trace-smoke tracing-baseline scaling-smoke scaling-baseline parallel-race multitenant-race multitenant-smoke multitenant-baseline failover-baseline clean
 
 all: build vet test
 
@@ -74,6 +74,18 @@ scrub:
 	$(GO) test -race -count=1 -run 'TestScrub' .
 	$(GO) test -race -count=1 -run 'Scrub|Repair|SelfHeal|DiskFull|Fsync|ShortWrite|Corrupt' ./internal/store/
 	$(GO) test -race -count=1 -run 'Scrub|Repair|DiskFull' ./internal/transport/
+
+# Fuzz every decoder of untrusted bytes for 30 s each: WAL scans, snapshot
+# loads, and transport request/response frames. The seed corpora (round-trip
+# and tamper vectors) also run as ordinary tests under `make test`.
+# Minimization is capped so a long first "interesting" input cannot eat the
+# whole budget.
+FUZZFLAGS = -run '^$$' -fuzztime 30s -fuzzminimizetime 100x
+fuzz:
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzScanWAL$$' ./internal/store/
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLoadSnapshot$$' ./internal/store/
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzDecodeRequest$$' ./internal/transport/
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzDecodeResponse$$' ./internal/transport/
 
 # Regenerate the committed scrubbing baseline (overhead and time-to-repair
 # axes) at the recorded settings.

@@ -127,7 +127,7 @@ func TestRunBadAddress(t *testing.T) {
 // TestSnapshotPersistence: state written before shutdown is visible after a
 // restart with the same -snapshot path.
 func TestSnapshotPersistence(t *testing.T) {
-	path := t.TempDir() + "/state.gob"
+	path := t.TempDir() + "/state.snap"
 
 	l1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -68,13 +68,9 @@ const (
 
 // Wire encodes the context into the fixed-size frame header: always exactly
 // WireSize bytes, never nil, with a non-zero version byte even for the zero
-// context. The frame codec (gob) encodes byte strings as a length prefix
-// plus raw bytes, so a constant-length, always-present header encodes to a
-// constant number of frame bytes no matter what IDs it carries: frame
-// lengths are identical with tracing on or off, sampled or not. (A fixed
-// [26]byte array would NOT have that property — gob encodes array elements
-// as per-element varints, so ID bytes ≥ 0x80 would each cost an extra wire
-// byte and frame lengths would leak tracing state.)
+// context. The transport writes these bytes raw at a fixed offset of every
+// request frame, so frame lengths are identical with tracing on or off,
+// sampled or not, whatever IDs the header carries.
 func (c SpanContext) Wire() []byte {
 	b := make([]byte, WireSize)
 	b[0] = wireVersion

@@ -9,27 +9,27 @@ import (
 
 // buildSnapshotBytes produces a realistic snapshot: several arrays and trees
 // with pseudo-random ciphertext-like contents and a marked epoch.
-func buildSnapshotBytes(t *testing.T) []byte {
-	t.Helper()
+func buildSnapshotBytes(tb testing.TB) []byte {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
 	s := NewServer()
 	for i := 0; i < 3; i++ {
 		name := string(rune('a' + i))
 		if err := s.CreateArray(name, 8); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		for j := int64(0); j < 8; j++ {
 			ct := make([]byte, 1+rng.Intn(32))
 			rng.Read(ct)
 			if err := s.WriteCells(name, []int64{j}, [][]byte{ct}); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	for i := 0; i < 2; i++ {
 		name := string(rune('t' + i))
 		if err := s.CreateTree(name, 4, 2); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		for leaf := uint32(0); leaf < 8; leaf++ {
 			slots := make([][]byte, 8)
@@ -38,16 +38,16 @@ func buildSnapshotBytes(t *testing.T) []byte {
 				rng.Read(slots[k])
 			}
 			if err := s.WritePath(name, leaf, slots); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	if err := s.Checkpoint(5); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := s.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }

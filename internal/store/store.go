@@ -7,11 +7,11 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 
 	"github.com/oblivfd/oblivfd/internal/trace"
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // Common storage errors.
@@ -227,7 +227,7 @@ type Reveal struct {
 	Value int64
 }
 
-// Stored objects carry one CRC32 per cell/slot, maintained on every write
+// Stored objects carry one CRC-32C per cell/slot, maintained on every write
 // and checked on every read and scrub pass. The server holds no keys, so
 // this is not a substitute for the client's AEAD verification — it is how
 // the server itself notices latent corruption (bit rot) early enough to
@@ -247,9 +247,10 @@ type tree struct {
 	bytes  int64
 }
 
-// cellSum is the stored-cell checksum. An empty or never-written cell sums
-// to 0, which crc32 also assigns to the empty payload — consistent.
-func cellSum(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+// cellSum is the stored-cell checksum (CRC-32C; in memory only, recomputed
+// on load). An empty or never-written cell sums to 0, which CRC-32C also
+// assigns to the empty payload — consistent.
+func cellSum(b []byte) uint32 { return wire.CRC(b) }
 
 // NewServer returns an empty server with trace counting active.
 func NewServer() *Server {

@@ -1,30 +1,34 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"syscall"
+
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // Write-ahead log: every mutating storage operation is appended as one
-// self-contained CRC32-framed record before the server acknowledges it.
+// self-contained CRC-32C-framed record before the server acknowledges it.
 // Recovery replays the log over the newest valid snapshot; a torn tail
 // (partial frame from a crash mid-append) is detected by the framing and
 // truncated, never replayed and never a panic.
 //
-// Frame format, all little-endian:
+// File format: the 8-byte version header "OFDWAL01" (written with the first
+// record, so an empty file is an empty log), then frames. Frame format, all
+// little-endian (internal/wire encodings):
 //
-//	payloadLen uint32 | crc32 uint32 | gob(walRecord)
+//	payloadLen u32 | crc32c(payload) u32 | payload
+//	payload = op u8 | name str | n i64 | levels i64 | slots i64 | leaf u32 | idx []i64 | cts [][]byte
 //
-// Each record uses a fresh gob encoder so frames decode independently —
-// replay can start from any snapshot boundary and a torn frame cannot
-// poison its successors.
+// Frames are self-contained, so replay can start from any snapshot boundary
+// and a torn frame cannot poison its successors. The replication stream
+// ships these same frames, byte for byte.
 
 // walOp enumerates the mutations the log can carry. Reads are not logged:
 // they change nothing the snapshot+log must reconstruct.
@@ -80,21 +84,84 @@ type walRecord struct {
 	Cts    [][]byte
 }
 
-// maxWALPayload bounds a declared frame length so a corrupted length field
-// cannot trigger a huge allocation before the CRC check.
-const maxWALPayload = 1 << 32
+// walMagic is the version header every non-empty log file starts with. A
+// log from before the fixed-layout codec (gob records, no header) fails it
+// with ErrCorruptWAL instead of passing as a torn tail and being truncated.
+var walMagic = [walHeaderSize]byte{'O', 'F', 'D', 'W', 'A', 'L', '0', '1'}
 
-// encodeWALRecord renders one framed record.
+const walHeaderSize = 8
+
+// maxWALPayload bounds a frame's payload to what its u32 length field can
+// declare; readers never allocate more than the bytes actually present.
+const maxWALPayload = 1<<32 - 1
+
+// walFrameSize is the exact encoded length of rec: the 8-byte header, op,
+// name, N/Levels/Slots, Leaf, Idx and Cts, which comes to
+//
+//	49 + len(Name) + 8·len(Idx) + Σ (4 + len(Cts[i]))
+func walFrameSize(rec *walRecord) int {
+	return 8 + 1 + wire.StringSize(rec.Name) + 3*8 + 4 + wire.Int64sSize(rec.Idx) + wire.ByteSlicesSize(rec.Cts)
+}
+
+// encodeWALRecord renders one framed record. The frame is freshly
+// allocated and never modified afterwards: the durable layer appends it
+// and the replication layer ships it.
 func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
-		return nil, fmt.Errorf("store: encoding WAL record: %w", err)
+	size := walFrameSize(rec)
+	if uint64(size-8) > maxWALPayload {
+		return nil, fmt.Errorf("store: WAL record of %d bytes exceeds the frame limit", size)
 	}
-	frame := make([]byte, 8+payload.Len())
-	binary.LittleEndian.PutUint32(frame[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload.Bytes()))
-	copy(frame[8:], payload.Bytes())
-	return frame, nil
+	w := wire.NewWriter(size)
+	w.U32(uint32(size - 8))
+	w.U32(0) // checksum, filled in below
+	w.U8(uint8(rec.Op))
+	w.String(rec.Name)
+	w.I64(rec.N)
+	w.I64(int64(rec.Levels))
+	w.I64(int64(rec.Slots))
+	w.U32(rec.Leaf)
+	w.Int64s(rec.Idx)
+	w.ByteSlices(rec.Cts)
+	binary.LittleEndian.PutUint32(w.B[4:], wire.CRC(w.B[8:]))
+	return w.B, nil
+}
+
+// decodeWALPayload parses a checksummed payload. The record's byte strings
+// alias p; callers that install them into a Server own them first
+// (wire.Own). A payload that passed its checksum but does not parse is
+// corruption, never a torn tail.
+func decodeWALPayload(p []byte) (*walRecord, error) {
+	r := wire.NewReader(p)
+	rec := &walRecord{
+		Op:     walOp(r.U8()),
+		Name:   r.String(),
+		N:      r.I64(),
+		Levels: int(r.I64()),
+		Slots:  int(r.I64()),
+		Leaf:   r.U32(),
+		Idx:    r.Int64s(),
+		Cts:    r.ByteSlices(),
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptWAL, err)
+	}
+	if int(rec.Op) >= len(walOpNames) {
+		return nil, fmt.Errorf("%w: unknown op %v", ErrCorruptWAL, rec.Op)
+	}
+	return rec, nil
+}
+
+// decodeWALFrame validates and parses one complete frame held in memory
+// (a replication shipment): the declared length must match exactly and the
+// checksum must verify before anything is decoded.
+func decodeWALFrame(frame []byte) (*walRecord, error) {
+	if len(frame) < 8 || uint64(binary.LittleEndian.Uint32(frame)) != uint64(len(frame)-8) {
+		return nil, errTornFrame
+	}
+	if wire.CRC(frame[8:]) != binary.LittleEndian.Uint32(frame[4:]) {
+		return nil, errTornFrame
+	}
+	return decodeWALPayload(frame[8:])
 }
 
 // errTornFrame distinguishes an incomplete/garbled tail (expected after a
@@ -103,97 +170,118 @@ var errTornFrame = errors.New("torn frame")
 
 // readWALRecord reads one frame from r. io.EOF means a clean end;
 // errTornFrame means the bytes at the current offset do not form a complete
-// valid frame.
+// frame with a valid checksum; an error wrapping ErrCorruptWAL means a
+// checksummed frame that does not decode.
 func readWALRecord(r io.Reader) (*walRecord, int64, error) {
-	header := make([]byte, 8)
-	if _, err := io.ReadFull(r, header); err != nil {
+	var header [8]byte
+	if _, err := io.ReadFull(r, header[:]); err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
 		return nil, 0, errTornFrame // partial header
 	}
 	plen := binary.LittleEndian.Uint32(header[0:])
-	want := binary.LittleEndian.Uint32(header[4:])
-	if uint64(plen) > maxWALPayload {
-		return nil, 0, errTornFrame
-	}
-	var payloadBuf bytes.Buffer
-	if n, err := io.CopyN(&payloadBuf, r, int64(plen)); err != nil || n != int64(plen) {
+	payload, err := wire.ReadN(r, uint64(plen))
+	if err != nil {
 		return nil, 0, errTornFrame // partial payload
 	}
-	payload := payloadBuf.Bytes()
-	if crc32.ChecksumIEEE(payload) != want {
+	if wire.CRC(payload) != binary.LittleEndian.Uint32(header[4:]) {
 		return nil, 0, errTornFrame
 	}
-	rec := new(walRecord)
-	if err := safeGobDecode(payload, rec); err != nil {
-		return nil, 0, errTornFrame
+	rec, err := decodeWALPayload(payload)
+	if err != nil {
+		return nil, 0, err
 	}
 	return rec, int64(8 + len(payload)), nil
 }
 
-// scanWAL reads every complete frame from r and reports the byte offset of
-// the end of the last valid frame. A torn tail stops the scan without error;
-// the caller truncates the file to validEnd.
-func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool) {
+// scanWAL reads a log file: the version header, then every complete frame.
+// It reports the byte offset of the end of the last valid frame; a torn
+// tail stops the scan with torn set, and the caller truncates the file to
+// validEnd. An empty file is an empty log. A foreign or outdated header, or
+// a checksummed frame that does not decode, returns an error wrapping
+// ErrCorruptWAL: those are never a crash artifact and must not be
+// truncated away.
+func scanWAL(r io.Reader) (records []*walRecord, validEnd int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var header [walHeaderSize]byte
+	switch n, herr := io.ReadFull(br, header[:]); {
+	case n == 0:
+		return nil, 0, false, nil
+	case herr != nil && bytes.HasPrefix(walMagic[:], header[:n]):
+		return nil, 0, true, nil // crash during the very first append
+	case header != walMagic:
+		return nil, 0, false, fmt.Errorf("%w: log header %q is not %q", ErrCorruptWAL, header[:n], walMagic[:])
+	}
+	validEnd = walHeaderSize
 	for {
-		rec, n, err := readWALRecord(r)
-		if err == io.EOF {
-			return records, validEnd, false
-		}
-		if err != nil {
-			return records, validEnd, true
+		rec, n, err := readWALRecord(br)
+		switch {
+		case err == io.EOF:
+			return records, validEnd, false, nil
+		case err == errTornFrame:
+			return records, validEnd, true, nil
+		case err != nil:
+			return records, validEnd, false, fmt.Errorf("%w at offset %d", err, validEnd)
 		}
 		records = append(records, rec)
 		validEnd += n
 	}
 }
 
-// replayWAL applies records to the in-memory server in log order. Replay is
-// idempotent so it tolerates a snapshot that already includes a prefix of
-// the log (possible when a crash lands between snapshot rename and log
-// truncation): creates replace any existing object, deletes of missing
-// objects succeed, and cell/path/bucket writes are plain overwrites. A
-// record that still fails semantically (e.g. a write to an object no create
-// established) means the log does not extend this snapshot — that is
-// corruption, not a torn tail.
+// applyRecord applies one record to the in-memory server. Replay semantics
+// (replay=true) are idempotent so recovery tolerates a snapshot that already
+// includes a prefix of the log (possible when a crash lands between
+// snapshot rename and log truncation), and a replica tolerates re-shipped
+// creates: creates replace any existing object, deletes of missing objects
+// succeed, and cell/path/bucket writes are plain overwrites. Live semantics
+// are the Service contract's.
+func (s *Server) applyRecord(rec *walRecord, replay bool) error {
+	switch rec.Op {
+	case walCreateArray:
+		if replay {
+			_ = s.Delete(rec.Name)
+		}
+		return s.CreateArray(rec.Name, int(rec.N))
+	case walWriteCells:
+		return s.WriteCells(rec.Name, rec.Idx, rec.Cts)
+	case walCreateTree:
+		if replay {
+			_ = s.Delete(rec.Name)
+		}
+		return s.CreateTree(rec.Name, rec.Levels, rec.Slots)
+	case walWritePath:
+		return s.WritePath(rec.Name, rec.Leaf, rec.Cts)
+	case walWriteBuckets:
+		return s.WriteBuckets(rec.Name, int(rec.N), rec.Cts)
+	case walDelete:
+		if err := s.Delete(rec.Name); err != nil && !(replay && errors.Is(err, ErrUnknownObject)) {
+			return err
+		}
+		return nil
+	case walCheckpoint:
+		// Name carries the database namespace; "" is the root.
+		return s.CheckpointNS(rec.Name, rec.N)
+	case walFence:
+		// Fencing epochs are an audit trail in the log; the FENCE file
+		// (see replicate.go) is the authoritative durable copy, so there is
+		// nothing to apply to the in-memory state.
+		return nil
+	case walRepairCells, walRepairSlots:
+		return s.InstallStored(rec.Name, rec.Op == walRepairSlots, rec.Idx, rec.Cts)
+	default:
+		return fmt.Errorf("unknown op %v", rec.Op)
+	}
+}
+
+// replayWAL applies records to the in-memory server in log order with
+// replay semantics. A record that still fails (e.g. a write to an object no
+// create established) means the log does not extend this snapshot — that
+// is corruption, not a torn tail.
 func replayWAL(s *Server, records []*walRecord) error {
 	for i, rec := range records {
-		var err error
-		switch rec.Op {
-		case walCreateArray:
-			_ = s.Delete(rec.Name) // create-as-replace for idempotent replay
-			err = s.CreateArray(rec.Name, int(rec.N))
-		case walWriteCells:
-			err = s.WriteCells(rec.Name, rec.Idx, rec.Cts)
-		case walCreateTree:
-			_ = s.Delete(rec.Name)
-			err = s.CreateTree(rec.Name, rec.Levels, rec.Slots)
-		case walWritePath:
-			err = s.WritePath(rec.Name, rec.Leaf, rec.Cts)
-		case walWriteBuckets:
-			err = s.WriteBuckets(rec.Name, int(rec.N), rec.Cts)
-		case walDelete:
-			if derr := s.Delete(rec.Name); derr != nil && !errors.Is(derr, ErrUnknownObject) {
-				err = derr
-			}
-		case walCheckpoint:
-			// Name carries the database namespace; records written before
-			// multi-tenancy have Name == "" and replay as root checkpoints,
-			// exactly as they always did.
-			err = s.CheckpointNS(rec.Name, rec.N)
-		case walFence:
-			// Fencing epochs are an audit trail in the log; the FENCE file
-			// (see replicate.go) is the authoritative durable copy, so
-			// replay has nothing to apply to the in-memory state.
-		case walRepairCells:
-			err = s.InstallStored(rec.Name, false, rec.Idx, rec.Cts)
-		case walRepairSlots:
-			err = s.InstallStored(rec.Name, true, rec.Idx, rec.Cts)
-		default:
-			err = fmt.Errorf("unknown op %v", rec.Op)
-		}
-		if err != nil {
+		rec.Cts = wire.Own(rec.Cts) // stored cells must not pin the frame read from disk
+		if err := s.applyRecord(rec, true); err != nil {
 			return fmt.Errorf("%w: record %d (%v %q): %v", ErrCorruptWAL, i, rec.Op, rec.Name, err)
 		}
 	}
@@ -232,17 +320,23 @@ func openWALWriter(fsys FS, path string, syncEvery int) (*walWriter, error) {
 	return &walWriter{f: f, syncEvery: syncEvery, size: info.Size()}, nil
 }
 
-// append frames and writes one record, fsyncing per the cadence. A failed
+// withHeader prefixes the file's version header to the first frame written
+// into an empty log, so header and frame land (or roll back) together.
+func (w *walWriter) withHeader(frame []byte) []byte {
+	if w.size != 0 {
+		return frame
+	}
+	return append(walMagic[:], frame...)
+}
+
+// append writes one encoded frame, fsyncing per the cadence. A failed
 // write (ENOSPC) is rolled back by truncating to the pre-append size so the
 // log never carries a torn frame the next recovery would mistake for a
 // crash; only if that rollback itself fails does the error escalate to
 // fail-stop.
-func (w *walWriter) append(rec *walRecord) error {
-	frame, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(frame); err != nil {
+func (w *walWriter) append(frame []byte) error {
+	buf := w.withHeader(frame)
+	if _, err := w.f.Write(buf); err != nil {
 		if terr := w.f.Truncate(w.size); terr != nil {
 			return fmt.Errorf("%w: append failed (%v) and rollback truncate failed: %v", errWALFailStop, err, terr)
 		}
@@ -254,7 +348,7 @@ func (w *walWriter) append(rec *walRecord) error {
 		}
 		return fmt.Errorf("%w: appending WAL record: %v", errWALFailStop, err)
 	}
-	w.size += int64(len(frame))
+	w.size += int64(len(buf))
 	w.appended++
 	w.pending++
 	if w.syncEvery <= 1 || w.pending >= w.syncEvery {
@@ -276,11 +370,7 @@ func isENOSPC(err error) bool {
 // writes only a prefix of the frame (at least the header plus one payload
 // byte when possible, never the whole frame) and syncs, leaving exactly the
 // torn tail a real SIGKILL between write and completion would.
-func (w *walWriter) appendTorn(rec *walRecord) error {
-	frame, err := encodeWALRecord(rec)
-	if err != nil {
-		return err
-	}
+func (w *walWriter) appendTorn(frame []byte) error {
 	cut := len(frame) / 2
 	if cut < 9 && len(frame) > 9 {
 		cut = 9
@@ -291,10 +381,11 @@ func (w *walWriter) appendTorn(rec *walRecord) error {
 	if cut < 1 {
 		cut = 1
 	}
-	if _, err := w.f.Write(frame[:cut]); err != nil {
+	buf := w.withHeader(frame[:cut])
+	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("store: appending torn WAL record: %w", err)
 	}
-	w.size += int64(cut)
+	w.size += int64(len(buf))
 	return w.f.Sync()
 }
 

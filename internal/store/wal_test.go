@@ -24,13 +24,15 @@ func testRecords() []*walRecord {
 	}
 }
 
-func encodeAll(t *testing.T, recs []*walRecord) []byte {
-	t.Helper()
+// encodeAll renders a log file: the version header, then every record.
+func encodeAll(tb testing.TB, recs []*walRecord) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
+	buf.Write(walMagic[:])
 	for _, rec := range recs {
 		frame, err := encodeWALRecord(rec)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		buf.Write(frame)
 	}
@@ -66,7 +68,10 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 	}
 	torn := append(append([]byte(nil), data...), extra[:len(extra)/2]...)
 
-	got, validEnd, isTorn := scanWAL(bytes.NewReader(torn))
+	got, validEnd, isTorn, err := scanWAL(bytes.NewReader(torn))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !isTorn {
 		t.Error("torn tail not detected")
 	}
@@ -79,9 +84,9 @@ func TestScanWALStopsAtTornTail(t *testing.T) {
 }
 
 func TestScanWALGarbage(t *testing.T) {
-	recs, validEnd, torn := scanWAL(bytes.NewReader([]byte("this is not a log")))
-	if len(recs) != 0 || validEnd != 0 || !torn {
-		t.Errorf("garbage scan = %d records, end %d, torn %v", len(recs), validEnd, torn)
+	recs, validEnd, torn, err := scanWAL(bytes.NewReader([]byte("this is not a log")))
+	if len(recs) != 0 || validEnd != 0 || torn || !errors.Is(err, ErrCorruptWAL) {
+		t.Errorf("garbage scan = %d records, end %d, torn %v, err %v; want ErrCorruptWAL", len(recs), validEnd, torn, err)
 	}
 }
 
@@ -144,11 +149,19 @@ func TestWALWriterTornAppendRecoverable(t *testing.T) {
 	}
 	recs := testRecords()
 	for _, rec := range recs {
-		if err := w.append(rec); err != nil {
+		frame, err := encodeWALRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.append(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.appendTorn(&walRecord{Op: walDelete, Name: "a"}); err != nil {
+	frame, err := encodeWALRecord(&walRecord{Op: walDelete, Name: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.appendTorn(frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -160,7 +173,10 @@ func TestWALWriterTornAppendRecoverable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	got, _, torn := scanWAL(f)
+	got, _, torn, err := scanWAL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !torn {
 		t.Error("torn append not detected on disk")
 	}

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -122,7 +122,7 @@ func (s *Server) SetTracer(tr *otrace.Tracer) { s.tracer = tr }
 // Tracer returns the installed span recorder (nil when tracing is off).
 func (s *Server) Tracer() *otrace.Tracer { return s.tracer }
 
-// countingConn counts wire bytes as they cross the gob codecs.
+// countingConn counts wire bytes as frames cross the connection.
 type countingConn struct {
 	net.Conn
 	in, out *telemetry.Counter
@@ -291,8 +291,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	if s.rpcLat != nil {
 		rw = &countingConn{Conn: conn, in: s.bytesIn, out: s.bytesOut}
 	}
-	dec := gob.NewDecoder(rw)
-	enc := gob.NewEncoder(rw)
+	br := bufio.NewReader(rw)
+	var wbuf []byte // response encode buffer, reused across requests
 	needToken := s.registry.Limits().Token != ""
 	// One goroutine-local binding for the whole connection: each request
 	// points it at its span with a single atomic store, so store/WAL/
@@ -303,9 +303,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		defer bind.Release()
 	}
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		// A token-protected server admits only handshake-sized frames until
+		// a session is established, so an unauthenticated peer cannot make
+		// it allocate by declaring a huge length.
+		limit := uint32(maxFrame)
+		if needToken && cs.sess == nil {
+			limit = preAuthMaxFrame
+		}
+		body, err := readFrame(br, limit)
+		if err != nil {
 			return // io.EOF on clean shutdown; anything else also ends the conn
+		}
+		req, err := decodeRequest(body)
+		if err != nil {
+			return // a malformed frame: no conforming client sends one
 		}
 		s.inflight.Add(1)
 		s.inflightGauge.Add(1)
@@ -324,14 +335,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		var resp *response
 		switch {
 		case req.Kind == kindHello:
-			resp = s.handleHello(conn, &cs, &req)
+			resp = s.handleHello(conn, &cs, req)
 		case req.Kind == kindReplicate || req.Kind == kindSync || req.Kind == kindPromote || req.Kind == kindRepair:
 			// Replication RPCs bypass sessions and namespacing: they carry
 			// whole WAL records (already namespaced at the primary) and role
 			// changes, authenticated by the shared session token.
-			resp = s.handleReplication(&req)
+			resp = s.handleReplication(req)
 		case req.Kind == kindTraceDump:
-			resp = s.handleTraceDump(&req)
+			resp = s.handleTraceDump(req)
 		case cs.sess != nil:
 			// Admission: budget overruns and rate-limit hits are shed with
 			// a retryable error before the backend sees the request.
@@ -339,7 +350,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				resp = &response{}
 				resp.Err, resp.Code = encodeErr(err)
 			} else {
-				resp = dispatch(cs.svc, &req)
+				resp = dispatch(cs.svc, req)
 				release()
 			}
 		case needToken:
@@ -349,7 +360,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			// Sessionless connection on an open server: the original
 			// single-tenant path, byte-for-byte.
-			resp = dispatch(s.svc, &req)
+			resp = dispatch(s.svc, req)
 		}
 		bind.Set(nil)
 		span.End()
@@ -359,7 +370,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if cs.tenantLat != nil && req.Kind != kindHello {
 			cs.tenantLat.ObserveSince(t0)
 		}
-		err := enc.Encode(resp)
+		wbuf = appendResponse(wbuf[:0], req.Kind, resp)
+		err = writeFrame(rw, wbuf)
+		wbuf = reuseFrameBuf(wbuf)
 		s.inflight.Add(-1)
 		s.inflightGauge.Add(-1)
 		if err != nil {

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -12,14 +10,12 @@ import (
 	"github.com/oblivfd/oblivfd/internal/store"
 )
 
-// encodeSession gob-encodes a fixed request sequence, stamping every request
-// with the given trace context, and returns the total encoded length. A
-// fresh encoder per call keeps the type-definition preamble identical across
-// variants, so any length difference comes from the context bytes alone.
+// encodeSession frames a fixed request sequence, stamping every request
+// with the given trace context, and returns the total encoded length, so
+// any length difference comes from the context bytes alone.
 func encodeSession(t *testing.T, ctx otrace.SpanContext) int {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+	var buf []byte
 	reqs := []request{
 		{Kind: kindHello, Name: "db", Token: "secret"},
 		{Kind: kindCreateArray, Name: "a", N: 64},
@@ -29,11 +25,9 @@ func encodeSession(t *testing.T, ctx otrace.SpanContext) int {
 	}
 	for i := range reqs {
 		reqs[i].Ctx = ctx.Wire()
-		if err := enc.Encode(&reqs[i]); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
+		buf = appendRequest(buf, &reqs[i])
 	}
-	return buf.Len()
+	return len(buf)
 }
 
 // TestFrameSizeTraceNeutral is the codec half of the leakage argument

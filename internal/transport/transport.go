@@ -4,9 +4,10 @@
 //
 //   - in-process: use a *store.Server directly (it implements the interface)
 //   - TCP: Serve exposes a store.Service on a listener, Dial returns a
-//     store.Service proxy that forwards every call over a gob-encoded,
-//     length-delimited stream — the deployment shape of the paper's
-//     evaluation (client and server on separate machines, §VII-A).
+//     store.Service proxy that forwards every call as one length-prefixed,
+//     fixed-layout binary frame (see frame.go) — the deployment shape of
+//     the paper's evaluation (client and server on separate machines,
+//     §VII-A).
 //
 // The TCP client is self-healing: every call runs under an optional
 // read/write deadline, and a broken connection is re-dialed with backoff
@@ -33,7 +34,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -44,6 +45,7 @@ import (
 	"github.com/oblivfd/oblivfd/internal/otrace"
 	"github.com/oblivfd/oblivfd/internal/store"
 	"github.com/oblivfd/oblivfd/internal/telemetry"
+	"github.com/oblivfd/oblivfd/internal/wire"
 )
 
 // ErrClosed is returned by calls on a closed client.
@@ -104,10 +106,11 @@ func rpcHistograms(reg *telemetry.Registry, name string) *[numKinds]*telemetry.H
 	return &h
 }
 
-// request is the wire format for one Service call. A kindBatch request
-// carries its cell operations in Ops; the response flattens every read's
-// ciphertexts into Cts in op order (writes contribute nothing), and the
-// client splits them back apart by each read op's index count.
+// request is one Service call; frame.go gives its wire layout per kind. A
+// kindBatch request carries its cell operations in Ops; the response
+// flattens every read's ciphertexts into Cts in op order (writes contribute
+// nothing), and the client splits them back apart by each read op's index
+// count.
 type request struct {
 	Kind   kind
 	Name   string
@@ -121,17 +124,12 @@ type request struct {
 	Seq    int64 // replication stream position (kindReplicate/kindSync)
 	Ops    []store.BatchOp
 	Token  string // session auth token (kindHello and replication kinds)
-	// Ctx is the distributed-tracing context header. It is fixed-size and
-	// always present: otrace.Wire returns exactly WireSize bytes with a
-	// non-zero version byte even for the zero context, so gob never elides
-	// the field, and gob's byte-string encoding (length prefix + raw
-	// bytes) costs the same number of frame bytes no matter what IDs the
-	// header carries. Every frame of a given request therefore has exactly
-	// the same length whether tracing is off, on, sampled, or unsampled:
-	// the adversary's view is independent of tracing state (DESIGN.md
-	// §14). Deliberately a byte string, not a [WireSize]byte array — gob
-	// encodes array elements as per-element varints, which would make
-	// frame length depend on the ID bytes' values.
+	// Ctx is the distributed-tracing context header: exactly
+	// otrace.WireSize raw bytes right after the kind byte of every request
+	// frame (a request without one carries the zero context). Its length
+	// never depends on the IDs it holds or on whether tracing is off, on,
+	// sampled or unsampled, so neither does any frame's: the adversary's
+	// view is independent of tracing state (DESIGN.md §14).
 	Ctx []byte
 }
 
@@ -240,7 +238,8 @@ func decodeErr(code errCode, msg string) error {
 	return errors.New(msg)
 }
 
-// response is the wire format for one Service result.
+// response is one Service result; frame.go gives its wire layout per
+// request kind.
 type response struct {
 	Err   string
 	Code  errCode
@@ -252,6 +251,12 @@ type response struct {
 }
 
 func dispatch(svc store.Service, req *request) *response {
+	// Written ciphertexts are the store's to keep, and decoded they alias
+	// the whole request frame.
+	wire.Own(req.Cts)
+	for _, op := range req.Ops {
+		wire.Own(op.Cts)
+	}
 	var resp response
 	fail := func(err error) *response {
 		resp.Err, resp.Code = encodeErr(err)
@@ -398,8 +403,8 @@ type Client struct {
 
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	br     *bufio.Reader
+	wbuf   []byte // request encode buffer, reused across calls under mu
 	closed bool
 
 	// reconnects is registry-backed (shared across all clients built from
@@ -485,8 +490,7 @@ func NewClient(conn net.Conn) *Client {
 	return &Client{
 		cfg:        ClientConfig{CallTimeout: -1, Redials: -1},
 		conn:       conn,
-		enc:        gob.NewEncoder(conn),
-		dec:        gob.NewDecoder(conn),
+		br:         bufio.NewReader(conn),
 		reconnects: telemetry.NewCounter(),
 	}
 }
@@ -524,7 +528,7 @@ func (c *Client) dropConnLocked() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 	}
-	c.conn, c.enc, c.dec = nil, nil, nil
+	c.conn, c.br = nil, nil
 }
 
 // redialLocked re-establishes the connection. Caller holds c.mu.
@@ -534,8 +538,7 @@ func (c *Client) redialLocked() error {
 		return err
 	}
 	c.conn = conn
-	c.enc = gob.NewEncoder(conn)
-	c.dec = gob.NewDecoder(conn)
+	c.br = bufio.NewReader(conn)
 	c.reconnects.Inc()
 	return nil
 }
@@ -557,15 +560,31 @@ func (c *Client) handshakeLocked() error {
 		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 	}
 	req := request{Kind: kindHello, Name: c.cfg.Database, Token: c.cfg.Token, Value: c.cfg.Fence}
-	req.Ctx = otrace.SpanContext{}.Wire() // constant-size header, like every frame
-	if err := c.enc.Encode(&req); err != nil {
+	if err := c.sendLocked(&req); err != nil {
 		return fmt.Errorf("transport: handshake send: %w", err)
 	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
+	resp, err := c.recvLocked(kindHello)
+	if err != nil {
 		return fmt.Errorf("transport: handshake receive: %w", err)
 	}
 	return decodeErr(resp.Code, resp.Err)
+}
+
+// sendLocked writes req as one frame. Caller holds c.mu.
+func (c *Client) sendLocked(req *request) error {
+	c.wbuf = appendRequest(c.wbuf[:0], req)
+	err := writeFrame(c.conn, c.wbuf)
+	c.wbuf = reuseFrameBuf(c.wbuf)
+	return err
+}
+
+// recvLocked reads the response to a request of kind k. Caller holds c.mu.
+func (c *Client) recvLocked(k kind) (*response, error) {
+	body, err := readFrame(c.br, maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	return decodeResponse(body, k)
 }
 
 // reconcileResend resolves the create/delete ambiguity after a resend: if
@@ -643,14 +662,14 @@ func (c *Client) call(req *request) (*response, error) {
 		if c.cfg.CallTimeout > 0 {
 			_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 		}
-		if err := c.enc.Encode(req); err != nil {
+		if err := c.sendLocked(req); err != nil {
 			c.dropConnLocked()
 			lastErr = fmt.Errorf("transport: send: %w", err)
 			resent = true
 			continue
 		}
-		var resp response
-		if err := c.dec.Decode(&resp); err != nil {
+		resp, err := c.recvLocked(req.Kind)
+		if err != nil {
 			c.dropConnLocked()
 			if errors.Is(err, io.EOF) {
 				lastErr = fmt.Errorf("transport: server closed connection: %w", err)
@@ -662,11 +681,11 @@ func (c *Client) call(req *request) (*response, error) {
 		}
 		if err := decodeErr(resp.Code, resp.Err); err != nil {
 			if resent && reconcileResend(req.Kind, err) {
-				return &resp, nil
+				return resp, nil
 			}
-			return &resp, err
+			return resp, err
 		}
-		return &resp, nil
+		return resp, nil
 	}
 	if lastErr == nil {
 		lastErr = ErrClosed
@@ -834,7 +853,7 @@ func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Cts, nil
+	return wire.Own(resp.Cts), nil // the caller installs them
 }
 
 // Promote asks the server to adopt the given fencing epoch and the primary
