@@ -24,9 +24,10 @@ type BatchOp struct {
 
 // Batcher is the optional extension a Service implements when it can apply
 // a whole batch in one round trip. Results are per-op: reads return their
-// ciphertexts, writes return nil. Decorators that cannot preserve their
-// semantics across a fused call (e.g. the per-op fault injector) simply
-// don't implement it, and DoBatch degrades to per-op calls through them.
+// ciphertexts, writes return nil. Every Func is a Batcher; one that cannot
+// keep its semantics across a fused call (the per-op fault injector) splits
+// the batch itself, and DoBatch degrades to per-op calls through a Service
+// that is not a Batcher.
 type Batcher interface {
 	Batch(ops []BatchOp) ([][][]byte, error)
 }
@@ -68,106 +69,33 @@ func (s *Server) Batch(ops []BatchOp) ([][][]byte, error) {
 }
 
 // RoundCounter counts logical storage round trips: every Service call is
-// one round, and a fused Batch is one round regardless of how many ops it
+// one round, and a Batch is one round regardless of how many ops it
 // carries. The scaling benchmark uses it to report how many rounds (and
 // hence how much injected RTT) a discovery run pays.
 type RoundCounter struct {
-	svc    Service
+	Func
 	rounds atomic.Int64
 }
 
 // WithRoundCounter wraps svc with a round counter; safe for concurrent
-// workers.
-func WithRoundCounter(svc Service) *RoundCounter { return &RoundCounter{svc: svc} }
+// workers. When svc is not a Batcher each op of a batch is its own round
+// and is counted as such — the counter never reports fewer rounds than svc
+// was asked for.
+func WithRoundCounter(svc Service) *RoundCounter {
+	c := &RoundCounter{}
+	_, fused := svc.(Batcher)
+	c.Func = func(call *Call) (err error) {
+		if call.Op == OpBatch && !fused {
+			call.BatchOut, err = batchFallback(c, call.Ops)
+			return err
+		}
+		c.rounds.Add(1)
+		return Apply(svc, call)
+	}
+	return c
+}
 
 // Rounds returns the number of logical round trips counted so far.
 func (c *RoundCounter) Rounds() int64 { return c.rounds.Load() }
 
-// Batch implements Batcher. If the inner service cannot fuse the batch,
-// each op is its own round and is counted as such — the counter never
-// reports fewer rounds than the backend actually served.
-func (c *RoundCounter) Batch(ops []BatchOp) ([][][]byte, error) {
-	if b, ok := c.svc.(Batcher); ok {
-		c.rounds.Add(1)
-		return b.Batch(ops)
-	}
-	return batchFallback(c, ops)
-}
-
-// CreateArray implements Service.
-func (c *RoundCounter) CreateArray(name string, n int) error {
-	c.rounds.Add(1)
-	return c.svc.CreateArray(name, n)
-}
-
-// ArrayLen implements Service.
-func (c *RoundCounter) ArrayLen(name string) (int, error) {
-	c.rounds.Add(1)
-	return c.svc.ArrayLen(name)
-}
-
-// ReadCells implements Service.
-func (c *RoundCounter) ReadCells(name string, idx []int64) ([][]byte, error) {
-	c.rounds.Add(1)
-	return c.svc.ReadCells(name, idx)
-}
-
-// WriteCells implements Service.
-func (c *RoundCounter) WriteCells(name string, idx []int64, cts [][]byte) error {
-	c.rounds.Add(1)
-	return c.svc.WriteCells(name, idx, cts)
-}
-
-// CreateTree implements Service.
-func (c *RoundCounter) CreateTree(name string, levels, slotsPerBucket int) error {
-	c.rounds.Add(1)
-	return c.svc.CreateTree(name, levels, slotsPerBucket)
-}
-
-// ReadPath implements Service.
-func (c *RoundCounter) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	c.rounds.Add(1)
-	return c.svc.ReadPath(name, leaf)
-}
-
-// WritePath implements Service.
-func (c *RoundCounter) WritePath(name string, leaf uint32, slots [][]byte) error {
-	c.rounds.Add(1)
-	return c.svc.WritePath(name, leaf, slots)
-}
-
-// WriteBuckets implements Service.
-func (c *RoundCounter) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	c.rounds.Add(1)
-	return c.svc.WriteBuckets(name, bucketStart, slots)
-}
-
-// Delete implements Service.
-func (c *RoundCounter) Delete(name string) error {
-	c.rounds.Add(1)
-	return c.svc.Delete(name)
-}
-
-// Reveal implements Service.
-func (c *RoundCounter) Reveal(tag string, value int64) error {
-	c.rounds.Add(1)
-	return c.svc.Reveal(tag, value)
-}
-
-// Checkpoint implements Service.
-func (c *RoundCounter) Checkpoint(epoch int64) error {
-	c.rounds.Add(1)
-	return c.svc.Checkpoint(epoch)
-}
-
-// Stats implements Service.
-func (c *RoundCounter) Stats() (Stats, error) {
-	c.rounds.Add(1)
-	return c.svc.Stats()
-}
-
-var (
-	_ Service = (*RoundCounter)(nil)
-	_ Batcher = (*RoundCounter)(nil)
-	_ Batcher = (*Server)(nil)
-)
+var _ Batcher = (*Server)(nil)

@@ -49,9 +49,9 @@ func ValidDBName(db string) bool {
 
 // NamespaceService is the optional per-namespace surface a multi-tenant
 // backend exposes alongside Service. Checkpoint/Stats on Service itself act
-// on the root namespace; these act on a named one. Decorators that wrap a
-// NamespaceService forward both methods so per-tenant marks survive the
-// whole fdserver stack (latency → faults → metrics → backend).
+// on the root namespace; these act on a named one. Every Func implements
+// it by passing the namespace along in Call.DB, so per-tenant marks survive
+// any decorator stack.
 type NamespaceService interface {
 	// CheckpointNS marks a recovery epoch for one database namespace.
 	CheckpointNS(db string, epoch int64) error
@@ -65,126 +65,62 @@ type NamespaceService interface {
 // on a backend without NamespaceService is an error rather than a silent
 // cross-tenant checkpoint.
 func CheckpointIn(svc Service, db string, epoch int64) error {
-	if db == "" {
-		return svc.Checkpoint(epoch)
-	}
-	if ns, ok := svc.(NamespaceService); ok {
-		return ns.CheckpointNS(db, epoch)
-	}
-	return fmt.Errorf("store: backend %T cannot checkpoint namespace %q", svc, db)
+	return Apply(svc, &Call{Op: OpCheckpoint, DB: db, Value: epoch})
 }
 
 // StatsIn reports namespace-scoped stats on any Service, with the same
 // fallback rules as CheckpointIn.
 func StatsIn(svc Service, db string) (Stats, error) {
-	if db == "" {
-		return svc.Stats()
+	c := &Call{Op: OpStats, DB: db}
+	if err := Apply(svc, c); err != nil {
+		return Stats{}, err
 	}
-	if ns, ok := svc.(NamespaceService); ok {
-		return ns.StatsNS(db)
-	}
-	return Stats{}, fmt.Errorf("store: backend %T cannot report namespace %q", svc, db)
+	return c.Stats, nil
 }
 
-// namespacedService scopes a Service to one database: every object name is
-// prefixed with "<db>/", reveals are tagged per-tenant, and
-// Checkpoint/Stats act on the tenant's own recovery mark. It is what the
-// transport server interposes once a session handshake has bound a
-// connection to a database, so N tenants share one backend without key
-// collisions.
-type namespacedService struct {
-	svc Service
-	db  string
-}
-
-// Namespaced returns svc scoped to the given database namespace. An empty db
-// returns svc unchanged (the root namespace needs no prefixing).
+// Namespaced scopes svc to one database: every object name is prefixed with
+// "<db>/", reveals are tagged per-tenant, and Checkpoint/Stats act on the
+// tenant's own recovery mark. It is what the transport server interposes
+// once a session handshake has bound a connection to a database, so N
+// tenants share one backend without key collisions. An empty db returns svc
+// unchanged (the root namespace needs no prefixing).
+//
+// The reveal tag is prefixed too: the reveal log is part of the adversary's
+// trace, and per-tenant tags keep the union-of-traces leakage argument
+// syntactic — each logged disclosure names the tenant that made it. A batch
+// is prefixed op by op and still reaches a Batcher backend in one call.
 func Namespaced(svc Service, db string) Service {
 	if db == "" {
 		return svc
 	}
-	return &namespacedService{svc: svc, db: db}
+	prefix := db + "/"
+	return Func(func(c *Call) error {
+		switch c.Op {
+		case OpCheckpoint, OpStats:
+			if c.DB != "" {
+				return fmt.Errorf("store: service scoped to namespace %q cannot address namespace %q", db, c.DB)
+			}
+			c.DB = db
+			err := Apply(svc, c)
+			c.DB = ""
+			return err
+		case OpBatch:
+			ops := c.Ops
+			scoped := make([]BatchOp, len(ops))
+			for i, op := range ops {
+				op.Name = prefix + op.Name
+				scoped[i] = op
+			}
+			c.Ops = scoped
+			err := Apply(svc, c)
+			c.Ops = ops
+			return err
+		default:
+			name := c.Name
+			c.Name = prefix + name
+			err := Apply(svc, c)
+			c.Name = name
+			return err
+		}
+	})
 }
-
-func (n *namespacedService) prefix(name string) string { return n.db + "/" + name }
-
-// CreateArray implements Service.
-func (n *namespacedService) CreateArray(name string, size int) error {
-	return n.svc.CreateArray(n.prefix(name), size)
-}
-
-// ArrayLen implements Service.
-func (n *namespacedService) ArrayLen(name string) (int, error) {
-	return n.svc.ArrayLen(n.prefix(name))
-}
-
-// ReadCells implements Service.
-func (n *namespacedService) ReadCells(name string, idx []int64) ([][]byte, error) {
-	return n.svc.ReadCells(n.prefix(name), idx)
-}
-
-// WriteCells implements Service.
-func (n *namespacedService) WriteCells(name string, idx []int64, cts [][]byte) error {
-	return n.svc.WriteCells(n.prefix(name), idx, cts)
-}
-
-// CreateTree implements Service.
-func (n *namespacedService) CreateTree(name string, levels, slotsPerBucket int) error {
-	return n.svc.CreateTree(n.prefix(name), levels, slotsPerBucket)
-}
-
-// ReadPath implements Service.
-func (n *namespacedService) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	return n.svc.ReadPath(n.prefix(name), leaf)
-}
-
-// WritePath implements Service.
-func (n *namespacedService) WritePath(name string, leaf uint32, slots [][]byte) error {
-	return n.svc.WritePath(n.prefix(name), leaf, slots)
-}
-
-// WriteBuckets implements Service.
-func (n *namespacedService) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	return n.svc.WriteBuckets(n.prefix(name), bucketStart, slots)
-}
-
-// Delete implements Service.
-func (n *namespacedService) Delete(name string) error {
-	return n.svc.Delete(n.prefix(name))
-}
-
-// Reveal implements Service. The tag is prefixed too: the reveal log is part
-// of the adversary's trace, and per-tenant tags keep the union-of-traces
-// leakage argument syntactic — each logged disclosure names the tenant that
-// made it.
-func (n *namespacedService) Reveal(tag string, value int64) error {
-	return n.svc.Reveal(n.prefix(tag), value)
-}
-
-// Checkpoint implements Service, marking the epoch in this database's
-// namespace only.
-func (n *namespacedService) Checkpoint(epoch int64) error {
-	return CheckpointIn(n.svc, n.db, epoch)
-}
-
-// Stats implements Service, reporting this database's namespace only.
-func (n *namespacedService) Stats() (Stats, error) {
-	return StatsIn(n.svc, n.db)
-}
-
-// Batch implements Batcher by prefixing each op and delegating through
-// DoBatch, so a backend Batcher still gets the whole batch in one call and a
-// plain backend falls back to per-op dispatch.
-func (n *namespacedService) Batch(ops []BatchOp) ([][][]byte, error) {
-	scoped := make([]BatchOp, len(ops))
-	for i, op := range ops {
-		op.Name = n.prefix(op.Name)
-		scoped[i] = op
-	}
-	return DoBatch(n.svc, scoped)
-}
-
-var (
-	_ Service = (*namespacedService)(nil)
-	_ Batcher = (*namespacedService)(nil)
-)

@@ -2,6 +2,17 @@
 // (flat ciphertext arrays for the sorting protocol, bucket trees for
 // PathORAM) plus the persistent adversary's trace recorder. The server never
 // holds a key; everything it stores is ciphertext produced by the client.
+//
+// Writing a decorator: a layer around a Service is one function of a Call,
+// returned as a Func. It does its work around Apply(inner, c) — time it,
+// delay it, fail it, retry it, rename its object — and must leave c's
+// inputs as it found them, so a retry above it re-applies the same request.
+// Func supplies every Service, Batcher and NamespaceService method, and
+// Apply hands an existing Call to a Func unchanged, so a stack of any depth
+// allocates one Call. A decorator that exposes counters is a struct that
+// embeds the Func (RetryService, FaultService, RoundCounter). When a layer
+// must re-send a call, Op.Applied is the one rule for when a create or
+// delete already took effect.
 package store
 
 import (

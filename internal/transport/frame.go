@@ -166,7 +166,7 @@ func appendRequest(b []byte, req *request) []byte {
 	return w.B
 }
 
-// decodeRequest parses a request body. Byte strings alias body; dispatch
+// decodeRequest parses a request body. Byte strings alias body; serveCall
 // copies out the ciphertexts a write stores.
 func decodeRequest(body []byte) (*request, error) {
 	r := wire.NewReader(body)

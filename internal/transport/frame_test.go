@@ -46,25 +46,25 @@ func sampleRequests() []struct {
 		req     request
 		formula int
 	}{
-		{request{Kind: kindCreateArray, Name: name, N: 64}, reqHeader + str(name) + 8},
-		{request{Kind: kindArrayLen, Name: name}, reqHeader + str(name)},
-		{request{Kind: kindReadCells, Name: name, Idx: ix}, reqHeader + str(name) + idx(ix)},
-		{request{Kind: kindWriteCells, Name: name, Idx: ix, Cts: ct}, reqHeader + str(name) + idx(ix) + cts(ct)},
-		{request{Kind: kindCreateTree, Name: name, Levels: 5, Slots: 4}, reqHeader + str(name) + 16},
-		{request{Kind: kindReadPath, Name: name, Leaf: 9}, reqHeader + str(name) + 4},
-		{request{Kind: kindWritePath, Name: name, Leaf: 9, Cts: ct}, reqHeader + str(name) + 4 + cts(ct)},
-		{request{Kind: kindWriteBuckets, Name: name, N: 2, Cts: ct}, reqHeader + str(name) + 8 + cts(ct)},
-		{request{Kind: kindDelete, Name: name}, reqHeader + str(name)},
-		{request{Kind: kindReveal, Name: name, Value: -7}, reqHeader + str(name) + 8},
+		{request{Kind: kindCreateArray, Call: store.Call{Name: name, N: 64}}, reqHeader + str(name) + 8},
+		{request{Kind: kindArrayLen, Call: store.Call{Name: name}}, reqHeader + str(name)},
+		{request{Kind: kindReadCells, Call: store.Call{Name: name, Idx: ix}}, reqHeader + str(name) + idx(ix)},
+		{request{Kind: kindWriteCells, Call: store.Call{Name: name, Idx: ix, Cts: ct}}, reqHeader + str(name) + idx(ix) + cts(ct)},
+		{request{Kind: kindCreateTree, Call: store.Call{Name: name, Levels: 5, Slots: 4}}, reqHeader + str(name) + 16},
+		{request{Kind: kindReadPath, Call: store.Call{Name: name, Leaf: 9}}, reqHeader + str(name) + 4},
+		{request{Kind: kindWritePath, Call: store.Call{Name: name, Leaf: 9, Cts: ct}}, reqHeader + str(name) + 4 + cts(ct)},
+		{request{Kind: kindWriteBuckets, Call: store.Call{Name: name, N: 2, Cts: ct}}, reqHeader + str(name) + 8 + cts(ct)},
+		{request{Kind: kindDelete, Call: store.Call{Name: name}}, reqHeader + str(name)},
+		{request{Kind: kindReveal, Call: store.Call{Name: name, Value: -7}}, reqHeader + str(name) + 8},
 		{request{Kind: kindStats}, reqHeader},
-		{request{Kind: kindCheckpoint, Value: 3}, reqHeader + 8},
-		{request{Kind: kindBatch, Ops: ops}, reqHeader + opsLen},
-		{request{Kind: kindHello, Name: "db", Value: 2, Token: token}, reqHeader + str("db") + 8 + str(token)},
-		{request{Kind: kindReplicate, Value: 2, Seq: 11, Cts: ct, Token: token}, reqHeader + 16 + cts(ct) + str(token)},
-		{request{Kind: kindSync, Value: 2, Seq: 11, Cts: ct[2:], Token: token}, reqHeader + 16 + cts(ct[2:]) + str(token)},
-		{request{Kind: kindPromote, Value: 3, Token: token}, reqHeader + 8 + str(token)},
-		{request{Kind: kindTraceDump, Name: "abc", Token: token}, reqHeader + str("abc") + str(token)},
-		{request{Kind: kindRepair, Name: name, N: 1, Value: 2, Idx: ix, Token: token}, reqHeader + str(name) + 16 + idx(ix) + str(token)},
+		{request{Kind: kindCheckpoint, Call: store.Call{Value: 3}}, reqHeader + 8},
+		{request{Kind: kindBatch, Call: store.Call{Ops: ops}}, reqHeader + opsLen},
+		{request{Kind: kindHello, Call: store.Call{Name: "db", Value: 2}, Token: token}, reqHeader + str("db") + 8 + str(token)},
+		{request{Kind: kindReplicate, Call: store.Call{Value: 2, Cts: ct}, Seq: 11, Token: token}, reqHeader + 16 + cts(ct) + str(token)},
+		{request{Kind: kindSync, Call: store.Call{Value: 2, Cts: ct[2:]}, Seq: 11, Token: token}, reqHeader + 16 + cts(ct[2:]) + str(token)},
+		{request{Kind: kindPromote, Call: store.Call{Value: 3}, Token: token}, reqHeader + 8 + str(token)},
+		{request{Kind: kindTraceDump, Call: store.Call{Name: "abc"}, Token: token}, reqHeader + str("abc") + str(token)},
+		{request{Kind: kindRepair, Call: store.Call{Name: name, N: 1, Value: 2, Idx: ix}, Token: token}, reqHeader + str(name) + 16 + idx(ix) + str(token)},
 	}
 }
 

@@ -292,7 +292,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		rw = &countingConn{Conn: conn, in: s.bytesIn, out: s.bytesOut}
 	}
 	br := bufio.NewReader(rw)
-	var wbuf []byte // response encode buffer, reused across requests
+	var wbuf []byte       // response encode buffer, reused across requests
+	var callResp response // Service responses, reused across requests
 	needToken := s.registry.Limits().Token != ""
 	// One goroutine-local binding for the whole connection: each request
 	// points it at its span with a single atomic store, so store/WAL/
@@ -350,7 +351,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				resp = &response{}
 				resp.Err, resp.Code = encodeErr(err)
 			} else {
-				resp = dispatch(cs.svc, req)
+				resp = serveCall(cs.svc, req, &callResp)
 				release()
 			}
 		case needToken:
@@ -360,7 +361,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		default:
 			// Sessionless connection on an open server: the original
 			// single-tenant path, byte-for-byte.
-			resp = dispatch(s.svc, req)
+			resp = serveCall(s.svc, req, &callResp)
 		}
 		bind.Set(nil)
 		span.End()

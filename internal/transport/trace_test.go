@@ -17,11 +17,11 @@ func encodeSession(t *testing.T, ctx otrace.SpanContext) int {
 	t.Helper()
 	var buf []byte
 	reqs := []request{
-		{Kind: kindHello, Name: "db", Token: "secret"},
-		{Kind: kindCreateArray, Name: "a", N: 64},
-		{Kind: kindWriteCells, Name: "a", Idx: []int64{0, 1}, Cts: [][]byte{{0xAB}, {0xCD}}},
-		{Kind: kindReadCells, Name: "a", Idx: []int64{0, 1}},
-		{Kind: kindBatch, Ops: []store.BatchOp{{Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}},
+		{Kind: kindHello, Call: store.Call{Name: "db"}, Token: "secret"},
+		{Kind: kindCreateArray, Call: store.Call{Name: "a", N: 64}},
+		{Kind: kindWriteCells, Call: store.Call{Name: "a", Idx: []int64{0, 1}, Cts: [][]byte{{0xAB}, {0xCD}}}},
+		{Kind: kindReadCells, Call: store.Call{Name: "a", Idx: []int64{0, 1}}},
+		{Kind: kindBatch, Call: store.Call{Ops: []store.BatchOp{{Name: "a", Idx: []int64{2}, Cts: [][]byte{{0xEF}}}}}},
 	}
 	for i := range reqs {
 		reqs[i].Ctx = ctx.Wire()

@@ -53,26 +53,31 @@ var ErrClosed = errors.New("transport: connection closed")
 
 type kind uint8
 
+// The Service kinds are the store.Op values, so a Call's Op is its wire
+// kind; the control kinds follow them.
 const (
-	kindCreateArray kind = iota
-	kindArrayLen
-	kindReadCells
-	kindWriteCells
-	kindCreateTree
-	kindReadPath
-	kindWritePath
-	kindWriteBuckets
-	kindDelete
-	kindReveal
-	kindStats
-	kindCheckpoint
-	kindBatch
-	kindHello     // session handshake: Name = database namespace, Token = auth
-	kindReplicate // primary -> replica: framed WAL records (Value = fence, Seq, Cts)
-	kindSync      // primary -> replica: full snapshot resync (Value = fence, Seq, Cts[0])
-	kindPromote   // failover client -> replica: adopt fence and primary role (Value = fence)
-	kindTraceDump // operator: fetch the server's span ring (Name = trace-ID filter)
-	kindRepair    // peer -> peer: fetch verified ciphertexts for self-healing (Value = fence, Name, N = tree flag, Idx)
+	kindCreateArray  = kind(store.OpCreateArray)
+	kindArrayLen     = kind(store.OpArrayLen)
+	kindReadCells    = kind(store.OpReadCells)
+	kindWriteCells   = kind(store.OpWriteCells)
+	kindCreateTree   = kind(store.OpCreateTree)
+	kindReadPath     = kind(store.OpReadPath)
+	kindWritePath    = kind(store.OpWritePath)
+	kindWriteBuckets = kind(store.OpWriteBuckets)
+	kindDelete       = kind(store.OpDelete)
+	kindReveal       = kind(store.OpReveal)
+	kindStats        = kind(store.OpStats)
+	kindCheckpoint   = kind(store.OpCheckpoint)
+	kindBatch        = kind(store.OpBatch)
+)
+
+const (
+	kindHello     = kind(store.NumOps) + iota // session handshake: Name = database namespace, Token = auth
+	kindReplicate                             // primary -> replica: framed WAL records (Value = fence, Seq, Cts)
+	kindSync                                  // primary -> replica: full snapshot resync (Value = fence, Seq, Cts[0])
+	kindPromote                               // failover client -> replica: adopt fence and primary role (Value = fence)
+	kindTraceDump                             // operator: fetch the server's span ring (Name = trace-ID filter)
+	kindRepair                                // peer -> peer: fetch verified ciphertexts for self-healing (Value = fence, Name, N = tree flag, Idx)
 	numKinds
 )
 
@@ -106,24 +111,16 @@ func rpcHistograms(reg *telemetry.Registry, name string) *[numKinds]*telemetry.H
 	return &h
 }
 
-// request is one Service call; frame.go gives its wire layout per kind. A
-// kindBatch request carries its cell operations in Ops; the response
-// flattens every read's ciphertexts into Cts in op order (writes contribute
-// nothing), and the client splits them back apart by each read op's index
-// count.
+// request is one frame's call; frame.go gives its wire layout per kind. A
+// Service kind carries its store.Call's inputs (the control kinds reuse
+// Name, N, Value, Idx and Cts); a kindBatch response flattens every read's
+// ciphertexts into Cts in op order (writes contribute nothing), and the
+// client splits them back apart by each read op's index count.
 type request struct {
-	Kind   kind
-	Name   string
-	N      int
-	Levels int
-	Slots  int
-	Idx    []int64
-	Cts    [][]byte
-	Leaf   uint32
-	Value  int64
-	Seq    int64 // replication stream position (kindReplicate/kindSync)
-	Ops    []store.BatchOp
-	Token  string // session auth token (kindHello and replication kinds)
+	Kind kind
+	store.Call
+	Seq   int64  // replication stream position (kindReplicate/kindSync)
+	Token string // session auth token (kindHello and replication kinds)
 	// Ctx is the distributed-tracing context header: exactly
 	// otrace.WireSize raw bytes right after the kind byte of every request
 	// frame (a request without one carries the zero context). Its length
@@ -250,64 +247,27 @@ type response struct {
 	Seq   int64 // replication responses: the responder's watermark
 }
 
-func dispatch(svc store.Service, req *request) *response {
+// serveCall applies a Service request to svc and answers with its results
+// in resp, which the connection reuses from one request to the next.
+func serveCall(svc store.Service, req *request, resp *response) *response {
 	// Written ciphertexts are the store's to keep, and decoded they alias
 	// the whole request frame.
 	wire.Own(req.Cts)
 	for _, op := range req.Ops {
 		wire.Own(op.Cts)
 	}
-	var resp response
-	fail := func(err error) *response {
-		resp.Err, resp.Code = encodeErr(err)
-		return &resp
-	}
-	switch req.Kind {
-	case kindCreateArray:
-		return fail(svc.CreateArray(req.Name, req.N))
-	case kindArrayLen:
-		n, err := svc.ArrayLen(req.Name)
-		resp.N = n
-		return fail(err)
-	case kindReadCells:
-		cts, err := svc.ReadCells(req.Name, req.Idx)
-		resp.Cts = cts
-		return fail(err)
-	case kindWriteCells:
-		return fail(svc.WriteCells(req.Name, req.Idx, req.Cts))
-	case kindCreateTree:
-		return fail(svc.CreateTree(req.Name, req.Levels, req.Slots))
-	case kindReadPath:
-		cts, err := svc.ReadPath(req.Name, req.Leaf)
-		resp.Cts = cts
-		return fail(err)
-	case kindWritePath:
-		return fail(svc.WritePath(req.Name, req.Leaf, req.Cts))
-	case kindWriteBuckets:
-		return fail(svc.WriteBuckets(req.Name, req.N, req.Cts))
-	case kindDelete:
-		return fail(svc.Delete(req.Name))
-	case kindReveal:
-		return fail(svc.Reveal(req.Name, req.Value))
-	case kindStats:
-		st, err := svc.Stats()
-		resp.Stats = st
-		return fail(err)
-	case kindCheckpoint:
-		return fail(svc.Checkpoint(req.Value))
-	case kindBatch:
-		res, err := store.DoBatch(svc, req.Ops)
-		if err == nil {
-			for _, cts := range res {
-				resp.Cts = append(resp.Cts, cts...)
-			}
+	c := &req.Call
+	c.Op = store.Op(req.Kind)
+	err := store.Apply(svc, c)
+	*resp = response{}
+	if err == nil {
+		resp.N, resp.Cts, resp.Stats = c.Len, c.Out, c.Stats
+		for _, cts := range c.BatchOut {
+			resp.Cts = append(resp.Cts, cts...)
 		}
-		return fail(err)
-	default:
-		resp.Err = fmt.Sprintf("transport: unknown request kind %d", req.Kind)
-		resp.Code = codeGeneric
-		return &resp
 	}
+	resp.Err, resp.Code = encodeErr(err)
+	return resp
 }
 
 // ClientConfig tunes the self-healing behaviour of a TCP client. The zero
@@ -393,11 +353,18 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	return cfg
 }
 
-// Client is a store.Service proxy over one TCP connection. It is safe for
-// concurrent use; calls are serialized on the connection. When created by
-// Dial it self-heals: a broken connection is re-dialed and the in-flight
+// Client is a store.Service proxy over one TCP connection: every call
+// crosses the wire as one framed request and one framed response, so a
+// batch of B cell operations costs one round trip instead of B. It is safe
+// for concurrent use; calls are serialized on the connection. When created
+// by Dial it self-heals: a broken connection is re-dialed and the in-flight
 // call re-sent.
+//
+// A frame carries no namespace — the session handshake binds the whole
+// connection to one — so a namespaced Checkpoint or Stats (store.Call.DB)
+// is refused rather than applied to the session's database.
 type Client struct {
+	store.Func
 	addr string // empty when wrapped around a raw conn (no re-dial)
 	cfg  ClientConfig
 
@@ -414,10 +381,7 @@ type Client struct {
 	lat        *[numKinds]*telemetry.Histogram // nil when metrics are off
 }
 
-var (
-	_ store.Service       = (*Client)(nil)
-	_ store.RepairFetcher = (*Client)(nil)
-)
+var _ store.RepairFetcher = (*Client)(nil)
 
 // Dial connects to a transport server with the default self-healing
 // configuration.
@@ -487,12 +451,14 @@ func (c *Client) dialHandshake() error {
 // connection fails the call (this is the seed behaviour, kept for tests
 // and custom conn types).
 func NewClient(conn net.Conn) *Client {
-	return &Client{
+	c := &Client{
 		cfg:        ClientConfig{CallTimeout: -1, Redials: -1},
 		conn:       conn,
 		br:         bufio.NewReader(conn),
 		reconnects: telemetry.NewCounter(),
 	}
+	c.Func = c.do
+	return c
 }
 
 // Close shuts the connection down.
@@ -559,7 +525,7 @@ func (c *Client) handshakeLocked() error {
 	if c.cfg.CallTimeout > 0 {
 		_ = c.conn.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
 	}
-	req := request{Kind: kindHello, Name: c.cfg.Database, Token: c.cfg.Token, Value: c.cfg.Fence}
+	req := request{Kind: kindHello, Call: store.Call{Name: c.cfg.Database, Value: c.cfg.Fence}, Token: c.cfg.Token}
 	if err := c.sendLocked(&req); err != nil {
 		return fmt.Errorf("transport: handshake send: %w", err)
 	}
@@ -587,25 +553,10 @@ func (c *Client) recvLocked(k kind) (*response, error) {
 	return decodeResponse(body, k)
 }
 
-// reconcileResend resolves the create/delete ambiguity after a resend: if
-// the first attempt's acknowledgement was lost but the operation applied,
-// the resend's semantic error proves it. The inference is scoped to the
-// session's database namespace — the handshake binds this connection to one
-// database, every name it sends is prefixed into that namespace
-// server-side, and each database has a single writing client (see
-// store.RetryService) — so a concurrent tenant in another namespace can
-// never be the one that created or deleted the object and the verdict is
-// unambiguous.
-func reconcileResend(k kind, err error) bool {
-	switch k {
-	case kindCreateArray, kindCreateTree:
-		return errors.Is(err, store.ErrObjectExists)
-	case kindDelete:
-		return errors.Is(err, store.ErrUnknownObject)
-	}
-	return false
-}
-
+// call sends req and returns the server's response, re-dialing and
+// re-sending while the connection breaks. A resent create or delete whose
+// verdict proves the lost first attempt applied succeeds (store.Op.Applied;
+// control kinds are not Ops and never reconcile).
 func (c *Client) call(req *request) (*response, error) {
 	// The RPC span covers the whole self-healing call (redials included)
 	// and its context rides in the constant-size frame header. With no
@@ -617,8 +568,8 @@ func (c *Client) call(req *request) (*response, error) {
 	if c.cfg.Trace != nil && req.Kind < numKinds {
 		span = c.cfg.Trace.Start(rpcSpanNames[req.Kind])
 		defer span.End()
+		req.Ctx = span.Context().Wire()
 	}
-	req.Ctx = span.Context().Wire()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -680,7 +631,7 @@ func (c *Client) call(req *request) (*response, error) {
 			continue
 		}
 		if err := decodeErr(resp.Code, resp.Err); err != nil {
-			if resent && reconcileResend(req.Kind, err) {
+			if resent && store.Op(req.Kind).Applied(err) {
 				return resp, nil
 			}
 			return resp, err
@@ -693,94 +644,56 @@ func (c *Client) call(req *request) (*response, error) {
 	return nil, fmt.Errorf("transport: connection lost (%d redials): %w: %w", redials, store.ErrUnavailable, lastErr)
 }
 
-// CreateArray implements store.Service.
-func (c *Client) CreateArray(name string, n int) error {
-	_, err := c.call(&request{Kind: kindCreateArray, Name: name, N: n})
-	return err
-}
-
-// ArrayLen implements store.Service.
-func (c *Client) ArrayLen(name string) (int, error) {
-	resp, err := c.call(&request{Kind: kindArrayLen, Name: name})
-	if err != nil {
-		return 0, err
+// do is the client's store.Func: one RPC, plus this client's reconnect
+// count on a Stats report. With a shared registry counter the value is the
+// config-wide total, so it replaces rather than accumulates — stacking
+// would double-count what other sharers already reported.
+func (c *Client) do(call *store.Call) error {
+	if err := c.rpc(call); err != nil {
+		return err
 	}
-	return resp.N, nil
-}
-
-// ReadCells implements store.Service.
-func (c *Client) ReadCells(name string, idx []int64) ([][]byte, error) {
-	resp, err := c.call(&request{Kind: kindReadCells, Name: name, Idx: idx})
-	if err != nil {
-		return nil, err
+	if call.Op == store.OpStats {
+		if c.shared {
+			call.Stats.Reconnects = c.reconnects.Value()
+		} else {
+			call.Stats.Reconnects += c.reconnects.Value()
+		}
 	}
-	return resp.Cts, nil
+	return nil
 }
 
-// WriteCells implements store.Service.
-func (c *Client) WriteCells(name string, idx []int64, cts [][]byte) error {
-	_, err := c.call(&request{Kind: kindWriteCells, Name: name, Idx: idx, Cts: cts})
-	return err
-}
-
-// CreateTree implements store.Service.
-func (c *Client) CreateTree(name string, levels, slotsPerBucket int) error {
-	_, err := c.call(&request{Kind: kindCreateTree, Name: name, Levels: levels, Slots: slotsPerBucket})
-	return err
-}
-
-// ReadPath implements store.Service.
-func (c *Client) ReadPath(name string, leaf uint32) ([][]byte, error) {
-	resp, err := c.call(&request{Kind: kindReadPath, Name: name, Leaf: leaf})
-	if err != nil {
-		return nil, err
+// rpc sends call as one request and stores the response's results in it.
+// A resent Batch re-applies the whole batch, which is safe because batches
+// carry only cell reads and idempotent cell writes.
+func (c *Client) rpc(call *store.Call) error {
+	if call.Op >= store.NumOps {
+		return fmt.Errorf("transport: unknown operation %v", call.Op)
 	}
-	return resp.Cts, nil
-}
-
-// WritePath implements store.Service.
-func (c *Client) WritePath(name string, leaf uint32, slots [][]byte) error {
-	_, err := c.call(&request{Kind: kindWritePath, Name: name, Leaf: leaf, Cts: slots})
-	return err
-}
-
-// WriteBuckets implements store.Service.
-func (c *Client) WriteBuckets(name string, bucketStart int, slots [][]byte) error {
-	_, err := c.call(&request{Kind: kindWriteBuckets, Name: name, N: bucketStart, Cts: slots})
-	return err
-}
-
-// Delete implements store.Service.
-func (c *Client) Delete(name string) error {
-	_, err := c.call(&request{Kind: kindDelete, Name: name})
-	return err
-}
-
-// Reveal implements store.Service.
-func (c *Client) Reveal(tag string, value int64) error {
-	_, err := c.call(&request{Kind: kindReveal, Name: tag, Value: value})
-	return err
-}
-
-// Checkpoint implements store.Service. A resend after a lost
-// acknowledgement just re-marks the same epoch, which is idempotent.
-func (c *Client) Checkpoint(epoch int64) error {
-	_, err := c.call(&request{Kind: kindCheckpoint, Value: epoch})
-	return err
-}
-
-// Batch implements store.Batcher: the whole op list crosses the wire as one
-// framed request and one framed response, so a batch of B cell operations
-// costs one round trip instead of B. A resend after a broken connection
-// re-applies the whole batch, which is safe because batches carry only cell
-// reads and idempotent cell writes.
-func (c *Client) Batch(ops []store.BatchOp) ([][][]byte, error) {
-	resp, err := c.call(&request{Kind: kindBatch, Ops: ops})
-	if err != nil {
-		return nil, err
+	if call.DB != "" && (call.Op == store.OpCheckpoint || call.Op == store.OpStats) {
+		return fmt.Errorf("transport: cannot address namespace %q: a connection serves only its session's database", call.DB)
 	}
+	req := request{Kind: kind(call.Op), Call: *call}
+	resp, err := c.call(&req)
+	if err != nil {
+		return err
+	}
+	switch call.Op {
+	case store.OpArrayLen:
+		call.Len = resp.N
+	case store.OpReadCells, store.OpReadPath:
+		call.Out = resp.Cts
+	case store.OpStats:
+		call.Stats = resp.Stats
+	case store.OpBatch:
+		call.BatchOut, err = splitBatch(call.Ops, resp.Cts)
+	}
+	return err
+}
+
+// splitBatch splits a batch response's flat ciphertexts back into per-op
+// results by each read op's index count.
+func splitBatch(ops []store.BatchOp, flat [][]byte) ([][][]byte, error) {
 	out := make([][][]byte, len(ops))
-	flat := resp.Cts
 	for i, op := range ops {
 		if op.Write {
 			continue
@@ -797,47 +710,18 @@ func (c *Client) Batch(ops []store.BatchOp) ([][][]byte, error) {
 	return out, nil
 }
 
-var _ store.Batcher = (*Client)(nil)
-
-// statsRaw fetches server-side stats without adding this client's own
-// reconnect count (the pool aggregates counts across all its clients).
-func (c *Client) statsRaw() (store.Stats, error) {
-	resp, err := c.call(&request{Kind: kindStats})
-	if err != nil {
-		return store.Stats{}, err
-	}
-	return resp.Stats, nil
-}
-
-// Stats implements store.Service, adding this client's reconnect count to
-// the server-side report. With a shared registry counter the value is the
-// config-wide total, so it replaces rather than accumulates — stacking
-// would double-count what other sharers already reported.
-func (c *Client) Stats() (store.Stats, error) {
-	st, err := c.statsRaw()
-	if err != nil {
-		return store.Stats{}, err
-	}
-	if c.shared {
-		st.Reconnects = c.reconnects.Value()
-	} else {
-		st.Reconnects += c.reconnects.Value()
-	}
-	return st, nil
-}
-
 // Replicate implements store.ReplicaConn: ship framed WAL records to a
 // replica. seq is the shipper's stream position before this batch; the
 // replica refuses (store.ErrIntegrity) unless it matches its watermark.
 func (c *Client) Replicate(fence, seq int64, frames [][]byte) error {
-	_, err := c.call(&request{Kind: kindReplicate, Value: fence, Seq: seq, Cts: frames, Token: c.cfg.Token})
+	_, err := c.call(&request{Kind: kindReplicate, Call: store.Call{Value: fence, Cts: frames}, Seq: seq, Token: c.cfg.Token})
 	return err
 }
 
 // SyncSnapshot implements store.ReplicaConn: replace the replica's whole
 // state with a snapshot and reposition its stream cursor at seq.
 func (c *Client) SyncSnapshot(fence, seq int64, snap []byte) error {
-	_, err := c.call(&request{Kind: kindSync, Value: fence, Seq: seq, Cts: [][]byte{snap}, Token: c.cfg.Token})
+	_, err := c.call(&request{Kind: kindSync, Call: store.Call{Value: fence, Cts: [][]byte{snap}}, Seq: seq, Token: c.cfg.Token})
 	return err
 }
 
@@ -849,7 +733,7 @@ func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64)
 	if isTree {
 		treeFlag = 1
 	}
-	resp, err := c.call(&request{Kind: kindRepair, Value: fence, Name: name, N: treeFlag, Idx: idx, Token: c.cfg.Token})
+	resp, err := c.call(&request{Kind: kindRepair, Call: store.Call{Value: fence, Name: name, N: treeFlag, Idx: idx}, Token: c.cfg.Token})
 	if err != nil {
 		return nil, err
 	}
@@ -860,7 +744,7 @@ func (c *Client) FetchRepair(fence int64, name string, isTree bool, idx []int64)
 // role; it returns the server's resulting fence. The failover layer calls it
 // on the freshest reachable replica once no primary answers.
 func (c *Client) Promote(fence int64) (int64, error) {
-	resp, err := c.call(&request{Kind: kindPromote, Value: fence, Token: c.cfg.Token})
+	resp, err := c.call(&request{Kind: kindPromote, Call: store.Call{Value: fence}, Token: c.cfg.Token})
 	if err != nil {
 		return 0, err
 	}
@@ -873,7 +757,7 @@ func (c *Client) Promote(fence int64) (int64, error) {
 // the client's configured Token must match. fddiscover -trace-out uses it
 // to merge server-side spans into the per-run flight-recorder artifact.
 func (c *Client) TraceDump(traceFilter string) ([]otrace.Record, error) {
-	resp, err := c.call(&request{Kind: kindTraceDump, Name: traceFilter, Token: c.cfg.Token})
+	resp, err := c.call(&request{Kind: kindTraceDump, Call: store.Call{Name: traceFilter}, Token: c.cfg.Token})
 	if err != nil {
 		return nil, err
 	}
